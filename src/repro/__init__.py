@@ -20,4 +20,4 @@ Layers (bottom-up):
 * :mod:`repro.bench` — experiment harness regenerating every paper figure.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.6.0"

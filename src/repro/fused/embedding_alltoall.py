@@ -38,7 +38,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..comm.shmem import FlagArray
-from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
 from ..ops.embedding import embedding_pooling, embedding_wg_cost
 from .base import (
@@ -385,18 +384,14 @@ class BaselineEmbeddingAllToAll:
         self.stats["compute_done"] = self.sim.now
 
         local = cfg.local_batch(world)
-        if cfg.functional:
-            # sends[r]: (world, local, T, dim) — shard the pooled outputs.
-            sends = []
-            for r in range(world):
-                stacked = np.stack(pooled_all[r], axis=1)  # (B, T, dim)
-                sends.append(stacked.reshape(
-                    world, local, cfg.tables_per_gpu, cfg.dim))
-            outs = yield from self.comm.collectives.all_to_all(sends)
-            # (world, local, T, dim) -> (local, world*T, dim)
-            return [o.transpose(1, 0, 2, 3).reshape(
-                local, world * cfg.tables_per_gpu, cfg.dim) for o in outs]
         chunk = float(local * cfg.tables_per_gpu * cfg.dim * ITEMSIZE)
         yield from self.comm.collectives.all_to_all_bytes(
             chunk, algorithm=cfg.algo)
+        if cfg.functional:
+            # Rank d receives batch shard d of every source's pooled
+            # outputs: (local, world*T, dim), sources in rank order.
+            stacked = [np.stack(p, axis=1) for p in pooled_all]  # (B, T, dim)
+            return [np.concatenate(
+                [s[d * local:(d + 1) * local] for s in stacked], axis=1)
+                for d in range(world)]
         return None

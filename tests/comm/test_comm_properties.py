@@ -18,60 +18,6 @@ def make_env(num_nodes=1, gpus_per_node=4):
 
 
 # ---------------------------------------------------------------------------
-# Collective semantics under random inputs
-# ---------------------------------------------------------------------------
-
-@given(world_shape=st.sampled_from([(1, 2), (1, 4), (2, 1), (2, 2)]),
-       elems=st.integers(1, 64), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
-def test_allreduce_equals_numpy_sum(world_shape, elems, seed):
-    nodes, gpn = world_shape
-    sim, cluster, comm = make_env(nodes, gpn)
-    world = cluster.world_size
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(elems).astype(np.float32)
-              for _ in range(world)]
-    outs = sim.run_process(comm.collectives.all_reduce(arrays))
-    expected = np.sum(np.stack(arrays), axis=0)
-    for out in outs:
-        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
-
-
-@given(world_shape=st.sampled_from([(1, 2), (1, 4), (2, 2)]),
-       elems=st.integers(1, 32), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
-def test_alltoall_is_transpose_involution(world_shape, elems, seed):
-    """Applying All-to-All twice recovers the original send buffers."""
-    nodes, gpn = world_shape
-    sim, cluster, comm = make_env(nodes, gpn)
-    world = cluster.world_size
-    rng = np.random.default_rng(seed)
-    sends = [rng.standard_normal((world, elems)).astype(np.float32)
-             for _ in range(world)]
-    once = sim.run_process(comm.collectives.all_to_all(sends))
-    twice = sim.run_process(comm.collectives.all_to_all(once))
-    for orig, back in zip(sends, twice):
-        np.testing.assert_array_equal(orig, back)
-
-
-@given(elems=st.integers(4, 64), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=20, deadline=None)
-def test_reduce_scatter_then_allgather_equals_allreduce(elems, seed):
-    sim, cluster, comm = make_env()
-    world = cluster.world_size
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal((world, elems)).astype(np.float32)
-              for _ in range(world)]
-    rs = sim.run_process(comm.collectives.reduce_scatter(arrays))
-    ag = sim.run_process(comm.collectives.all_gather(rs))
-    flat = [a.reshape(world * elems) for a in arrays]
-    ar = sim.run_process(comm.collectives.all_reduce(flat))
-    for rank in range(world):
-        np.testing.assert_allclose(ag[rank].reshape(-1), ar[rank],
-                                   rtol=1e-5, atol=1e-5)
-
-
-# ---------------------------------------------------------------------------
 # Flag ordering invariant under random put schedules
 # ---------------------------------------------------------------------------
 
@@ -138,30 +84,6 @@ def test_fence_orders_only_target_destination(sizes, data):
         return d_done
 
     assert sim.run_process(proc(sim)) is True
-
-
-# ---------------------------------------------------------------------------
-# Timing-model sanity under random configuration
-# ---------------------------------------------------------------------------
-
-@given(nbytes=st.integers(1 << 10, 1 << 24))
-@settings(max_examples=20, deadline=None)
-def test_allreduce_bytes_matches_functional_structure(nbytes):
-    """Timing-only AllReduce takes exactly as long as the functional one
-    with equal wire bytes."""
-    elems = nbytes // 4
-
-    sim1, _c1, comm1 = make_env()
-    arrays = [np.zeros(elems, np.float32) for _ in range(4)]
-    sim1.run_process(comm1.collectives.all_reduce(arrays,
-                                                  algorithm="direct"))
-    t_functional = sim1.now
-
-    sim2, _c2, comm2 = make_env()
-    sim2.run_process(comm2.collectives.all_reduce_bytes(
-        float(elems * 4), elems, algorithm="direct"))
-    t_bytes = sim2.now
-    assert t_bytes == pytest.approx(t_functional, rel=1e-9)
 
 
 def test_cpu_proxy_adds_latency_per_message():

@@ -97,13 +97,20 @@ def test_smaller_batch_gives_bigger_internode_win():
 
 
 def test_timing_only_matches_functional_time():
-    """functional=False must not change simulated time."""
-    times = {}
-    for functional in (True, False):
-        cfg = EmbeddingA2AConfig(**{**SMALL, "functional": functional})
-        h = OpHarness(num_nodes=2, gpus_per_node=1)
-        times[functional] = h.run(FusedEmbeddingAllToAll(h, cfg)).elapsed
-    assert times[True] == pytest.approx(times[False], rel=1e-9)
+    """functional=False must not change simulated time, for the fused
+    operator and the baseline under every All-to-All schedule."""
+    mismatched = {}
+    for op_cls in (FusedEmbeddingAllToAll, BaselineEmbeddingAllToAll):
+        for algo in (None, "flat", "pairwise", "hier", "auto"):
+            times = []
+            for functional in (True, False):
+                cfg = EmbeddingA2AConfig(**{**SMALL, "functional": functional,
+                                            "algo": algo})
+                h = OpHarness(num_nodes=2, gpus_per_node=2)
+                times.append(h.run(op_cls(h, cfg)).elapsed)
+            if times[0] != times[1]:
+                mismatched[op_cls.__name__, algo] = times
+    assert mismatched == {}
 
 
 def test_fused_occupancy_is_87_5_pct():

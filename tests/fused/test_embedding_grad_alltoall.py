@@ -67,12 +67,18 @@ def test_fused_backward_wins_at_paper_scale():
 
 
 def test_timing_only_matches_functional_time_backward():
-    times = {}
-    for functional in (True, False):
-        cfg = EmbeddingA2AConfig(**{**SMALL, "functional": functional})
-        h = OpHarness(num_nodes=2, gpus_per_node=1)
-        times[functional] = h.run(FusedEmbeddingGradAllToAll(h, cfg)).elapsed
-    assert times[True] == pytest.approx(times[False], rel=1e-9)
+    mismatched = {}
+    for op_cls in (FusedEmbeddingGradAllToAll, BaselineEmbeddingGradAllToAll):
+        for algo in (None, "flat", "pairwise", "hier", "auto"):
+            times = []
+            for functional in (True, False):
+                cfg = EmbeddingA2AConfig(**{**SMALL, "functional": functional,
+                                            "algo": algo})
+                h = OpHarness(num_nodes=2, gpus_per_node=2)
+                times.append(h.run(op_cls(h, cfg)).elapsed)
+            if times[0] != times[1]:
+                mismatched[op_cls.__name__, algo] = times
+    assert mismatched == {}
 
 
 def test_scatter_cost_pays_atomic_factor():

@@ -32,13 +32,22 @@ def test_fused_matches_reference(gpus):
 
 def test_functional_and_analytic_paths_time_identically():
     """The Triton execution path and the timing-only analytic mirror must
-    be indistinguishable in simulated time."""
-    times = {}
-    for functional in (True, False):
-        cfg = GemmA2AConfig(**{**SMALL, "functional": functional})
-        h = OpHarness(1, 4)
-        times[functional] = h.run(FusedGemmAllToAll(h, cfg)).elapsed
-    assert times[True] == pytest.approx(times[False], rel=1e-12)
+    be indistinguishable in simulated time, as must the baseline's
+    functional and timing-only runs under every All-to-All schedule."""
+    runs = [(FusedGemmAllToAll, (1, 4), None)]  # scale-up only
+    runs += [(BaselineGemmAllToAll, (2, 2), algo)
+             for algo in (None, "flat", "pairwise", "hier", "auto")]
+    mismatched = {}
+    for op_cls, shape, algo in runs:
+        times = []
+        for functional in (True, False):
+            cfg = GemmA2AConfig(**{**SMALL, "functional": functional,
+                                   "algo": algo})
+            h = OpHarness(*shape)
+            times.append(h.run(op_cls(h, cfg)).elapsed)
+        if times[0] != times[1]:
+            mismatched[op_cls.__name__, algo] = times
+    assert mismatched == {}
 
 
 def test_fused_wins_at_paper_scale():

@@ -90,12 +90,21 @@ def test_benefit_shrinks_for_large_m():
 
 
 def test_timing_only_matches_functional_time():
-    times = {}
-    for functional in (True, False):
-        cfg = GemvAllReduceConfig(**{**SMALL, "functional": functional})
-        h = OpHarness(num_nodes=1, gpus_per_node=4)
-        times[functional] = h.run(FusedGemvAllReduce(h, cfg)).elapsed
-    assert times[True] == pytest.approx(times[False], rel=1e-9)
+    """Fused operator and baseline alike, under every AllReduce schedule."""
+    runs = [(FusedGemvAllReduce, (1, 4), None)]  # scale-up only
+    runs += [(BaselineGemvAllReduce, (2, 2), algo)
+             for algo in (None, "direct", "ring", "tree", "hier", "auto")]
+    mismatched = {}
+    for op_cls, shape, algo in runs:
+        times = []
+        for functional in (True, False):
+            cfg = GemvAllReduceConfig(**{**SMALL, "functional": functional,
+                                         "algo": algo})
+            h = OpHarness(*shape)
+            times.append(h.run(op_cls(h, cfg)).elapsed)
+        if times[0] != times[1]:
+            mismatched[op_cls.__name__, algo] = times
+    assert mismatched == {}
 
 
 def test_flags_gate_consumption():
