@@ -8,9 +8,9 @@ The subsystem has four layers:
   content hashes;
 * **runner** — cache-aware execution, sharding uncached scenarios across
   spawn-safe worker processes with a serial fallback;
-* **store** — ``.repro-cache/`` JSON records keyed by spec hash, so no
-  scenario is ever simulated twice, plus diffable sweep reports and a
-  baseline-comparison API (:func:`diff_reports`);
+* **store** — ``.repro-cache/records.sqlite``: JSON records keyed by
+  spec hash, so no scenario is ever simulated twice, plus diffable sweep
+  reports and a baseline-comparison API (:func:`diff_reports`);
 * **cli** — ``python -m repro`` with ``list`` / ``run`` / ``report`` /
   ``diff`` / ``validate`` / ``cache stats`` subcommands.
 

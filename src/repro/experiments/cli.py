@@ -174,8 +174,7 @@ def _cmd_algos(args: argparse.Namespace) -> int:
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     """Result-store hygiene: record count, bytes, per-sweep breakdown."""
     store = ResultStore(args.cache)
-    sizes = {key: store.path_for(key).stat().st_size
-             for key in store.keys()}
+    sizes = {key: len(text.encode("utf-8")) for key, text in store.items()}
     total_records, total_bytes = len(sizes), sum(sizes.values())
     rows = []
     claimed = set()

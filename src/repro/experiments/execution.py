@@ -23,7 +23,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.metrics import get_metrics
 from .registry import call_runner, ensure_registered, get_assembler, get_sweep
@@ -111,12 +111,12 @@ def batch_enabled() -> bool:
     return os.environ.get("REPRO_BATCH", "1") != "0"
 
 
-def _run_batch_misses(sweep: SweepSpec, misses: List[int],
-                      record: Callable[[int, Dict[str, Any]], None]
-                      ) -> List[int]:
+def _run_batch_misses(sweep: SweepSpec, misses: List[int]
+                      ) -> Tuple[List[Tuple[int, Dict[str, Any]]], List[int]]:
     """Evaluate analytic cache misses through the vectorized mega-batch
-    engine (:mod:`repro.analytic.batch`); returns the miss indices the
-    engine did not cover (they fall through to the pool/serial path).
+    engine (:mod:`repro.analytic.batch`); returns the ``(index, result)``
+    pairs the engine covered, in sweep order, and the miss indices it did
+    not cover (they fall through to the pool/serial path).
 
     Only scenarios pinned to the analytic backend are eligible — the
     batch twins are pinned bit-identical to the scalar closed forms, so
@@ -139,13 +139,9 @@ def _run_batch_misses(sweep: SweepSpec, misses: List[int],
             continue
         for i, result in zip(idxs, results):
             batched[i] = _canonical_result(result)
-    remaining = []
-    for i in misses:
-        if i in batched:
-            record(i, batched[i])
-        else:
-            remaining.append(i)
-    return remaining
+    done = [(i, batched[i]) for i in misses if i in batched]
+    remaining = [i for i in misses if i not in batched]
+    return done, remaining
 
 
 def run_sweep(sweep: Union[str, SweepSpec],
@@ -201,19 +197,27 @@ def run_sweep(sweep: Union[str, SweepSpec],
 
     def _record(i: int, result: Dict[str, Any]) -> None:
         spec = sweep.scenarios[i]
-        if store is not None:
-            store.put(spec, result)
         outcomes[i] = ScenarioOutcome(spec=spec, key=spec.key(),
                                       result=result, cached=False)
         _notify(outcomes[i])
 
+    def _persist(i: int, result: Dict[str, Any]) -> None:
+        # Off the batch path, each result is stored the moment it
+        # finishes, so an interrupted sweep keeps what it has computed.
+        if store is not None:
+            store.put(sweep.scenarios[i], result)
+        _record(i, result)
+
     if misses and batch_enabled():
-        before = len(misses)
         with metrics.timer("sweep.batch_wall_s"):
-            misses = _run_batch_misses(sweep, misses, _record)
+            batched, misses = _run_batch_misses(sweep, misses)
+            if store is not None:
+                store.put_many((sweep.scenarios[i], result)
+                               for i, result in batched)
+            for i, result in batched:
+                _record(i, result)
         if metrics.enabled:
-            metrics.inc("sweep.batch_fastpath_scenarios",
-                        before - len(misses))
+            metrics.inc("sweep.batch_fastpath_scenarios", len(batched))
 
     if len(misses) > 1 and workers > 1:
         ctx = multiprocessing.get_context("spawn")
@@ -223,11 +227,11 @@ def run_sweep(sweep: Union[str, SweepSpec],
                 specs = [sweep.scenarios[i] for i in misses]
                 for i, result in zip(
                         misses, pool.imap(_worker_run, specs, chunksize=1)):
-                    _record(i, result)
+                    _persist(i, result)
     else:
         with metrics.timer("sweep.serial_wall_s"):
             for i in misses:
-                _record(i, run_scenario(sweep.scenarios[i]))
+                _persist(i, run_scenario(sweep.scenarios[i]))
 
     run = SweepRun(sweep=sweep, outcomes=list(outcomes))
 

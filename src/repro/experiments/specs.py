@@ -54,9 +54,14 @@ BACKENDS = ("sim", "analytic")
 DEFAULT_BACKEND = "sim"
 
 
+#: One shared encoder: ``json.dumps`` with non-default arguments builds a
+#: new encoder on every call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """Canonical (sorted-key, compact) JSON encoding of ``value``."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(value)
 
 
 def _check_jsonable(params: Mapping[str, Any], where: str) -> None:
@@ -143,12 +148,14 @@ class ScenarioSpec:
 
         The label is display-only and deliberately excluded: renaming a
         scenario must not invalidate its cached result.
+
+        The hashed text is ``canonical_json`` of ``{"params", "runner",
+        "schema"}``; ``params_json`` is already canonical, so it is
+        spliced in verbatim instead of being parsed and re-encoded.
         """
-        record = canonical_json({
-            "schema": SCHEMA_VERSION,
-            "runner": self.runner,
-            "params": self.params,
-        })
+        record = ('{"params":' + self.params_json
+                  + ',"runner":' + canonical_json(self.runner)
+                  + ',"schema":' + str(SCHEMA_VERSION) + '}')
         return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
     def stable_seed(self) -> int:

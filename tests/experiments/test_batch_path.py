@@ -35,10 +35,11 @@ def test_batch_and_scalar_sweep_reports_are_byte_identical(tmp_path,
     assert report_json(scalar.report()) == report_json(batch.report())
     # The store records themselves are byte-identical too: same keys,
     # same payload bytes.
+    scalar_records = dict(scalar_store.items())
+    batch_records = dict(batch_store.items())
     for spec in sweep.scenarios:
-        a = scalar_store.path_for(spec.key()).read_bytes()
-        b = batch_store.path_for(spec.key()).read_bytes()
-        assert a == b
+        assert scalar_records[spec.key()] == batch_records[spec.key()]
+    assert scalar_records == batch_records
 
 
 def test_batch_path_actually_covers_analytic_misses(monkeypatch):
@@ -59,9 +60,9 @@ def test_sim_scenarios_never_take_the_batch_path(monkeypatch):
     called = []
     original = execution._run_batch_misses
 
-    def spy(sweep, misses, record):
+    def spy(sweep, misses):
         called.append(list(misses))
-        return original(sweep, misses, record)
+        return original(sweep, misses)
 
     monkeypatch.setattr(execution, "_run_batch_misses", spy)
     run = run_sweep(smoke_sweep(), store=None)

@@ -41,7 +41,7 @@ def test_cold_then_cached_runs_are_byte_identical(tmp_path):
     store = ResultStore(tmp_path / "cache")
     cold = run_mega(spec, store=store)
     assert cold.executed == len(spec)
-    assert store.path_for(spec.key()).is_file()
+    assert list(store.keys()) == [spec.key()]
     cached = run_mega(spec, store=store)
     assert cached.executed == 0
     assert cached.cache_hits == len(spec)

@@ -6,6 +6,8 @@ identical across param orderings, processes, and machines — and
 pinned here, including a subprocess check for cross-process stability.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +19,9 @@ from repro.experiments import (
     SCHEMA_VERSION,
     ScenarioSpec,
     SweepSpec,
+    ensure_registered,
     grid_params,
+    list_sweeps,
     scenario,
     zip_params,
 )
@@ -125,3 +129,35 @@ def test_schema_version_feeds_key(monkeypatch):
     monkeypatch.setattr("repro.experiments.specs.SCHEMA_VERSION",
                         SCHEMA_VERSION + 1)
     assert spec.key() != before
+
+
+def _record_hash(record):
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_keys_equal_the_canonical_record_hash():
+    """``key()`` splices ``params_json`` into the hashed text; every
+    registered scenario and sweep must still hash exactly the canonical
+    JSON of its key record."""
+    ensure_registered()
+    mismatches = []
+    for sweep in list_sweeps():
+        scenario_keys = []
+        for spec in sweep.scenarios:
+            expected = _record_hash({"schema": SCHEMA_VERSION,
+                                     "runner": spec.runner,
+                                     "params": json.loads(spec.params_json)})
+            scenario_keys.append(expected)
+            if spec.key() != expected:
+                mismatches.append((sweep.name, spec.label))
+        expected = _record_hash({
+            "schema": SCHEMA_VERSION,
+            "name": sweep.name,
+            "assembler": sweep.assembler,
+            "assembler_params": json.loads(sweep.assembler_params_json),
+            "scenarios": scenario_keys,
+        })
+        if sweep.key() != expected:
+            mismatches.append((sweep.name, None))
+    assert not mismatches

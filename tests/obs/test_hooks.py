@@ -123,10 +123,7 @@ def _run_smoke(cache_dir, metrics_on):
     store = ResultStore(cache_dir)
     run = run_sweep("smoke", store=store)
     report = report_json(run.report())
-    records = {
-        str(p.relative_to(cache_dir)): p.read_bytes()
-        for p in sorted(cache_dir.rglob("*.json"))
-    }
+    records = dict(store.items())
     return report, records
 
 
