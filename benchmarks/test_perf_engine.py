@@ -2,7 +2,7 @@
 
 Unlike the figure benchmarks (which measure deterministic *simulated* time),
 these measure *host* wall-clock: raw engine event throughput and
-persistent-kernel workgroups/second, with the run-length fast path on and
+persistent-kernel workgroups/second, with the kernel fast path on and
 off.  Run with ``REPRO_WRITE_BENCH=1`` to refresh ``BENCH_engine.json`` at
 the repo root (together with a representative figure regeneration), so the
 host-performance trajectory is tracked PR over PR from one canonical

@@ -13,7 +13,8 @@ against:
   PUT sliceRdy flag" idiom as one call: the flag write is issued only after
   the payload is delivered.
 * :class:`FlagArray` / :meth:`ShmemContext.wait_until` — remote-visible flag
-  words that consumer workgroups poll on.
+  words that consumer workgroups poll on; :meth:`FlagArray.wait_all` waits
+  on a whole subset with one event.
 
 Functional data movement happens eagerly (NumPy copies) while the *timing*
 of visibility is carried by events — consumers must gate on flags, exactly
@@ -22,7 +23,7 @@ as real fused kernels must.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +33,22 @@ __all__ = ["FlagArray", "ShmemContext"]
 
 #: Size of one flag word on the wire (bytes).
 FLAG_BYTES = 8
+
+
+class _Countdown:
+    """One :meth:`FlagArray.wait_all` waiter, registered on every flag it
+    still needs; fires its event when the last of them is satisfied."""
+
+    __slots__ = ("left", "event")
+
+    def __init__(self, left: int, event: Event):
+        self.left = left
+        self.event = event
+
+    def succeed(self, _value: int) -> None:
+        self.left -= 1
+        if self.left == 0:
+            self.event.succeed()
 
 
 class FlagArray:
@@ -45,7 +62,9 @@ class FlagArray:
         self.name = name
         self.n_flags = n_flags
         self._values = np.zeros((world_size, n_flags), dtype=np.int64)
-        self._waiters: Dict[Tuple[int, int], List[Tuple[int, Event]]] = {}
+        # (rank, idx) -> [(wanted value, Event or _Countdown)]
+        self._waiters: Dict[Tuple[int, int],
+                            List[Tuple[int, Union[Event, _Countdown]]]] = {}
 
     def read(self, rank: int, idx: int) -> int:
         return int(self._values[rank, idx])
@@ -71,6 +90,23 @@ class FlagArray:
             ev.succeed(int(self._values[rank, idx]))
         else:
             self._waiters.setdefault((rank, idx), []).append((value, ev))
+        return ev
+
+    def wait_all(self, rank: int, idxs: Iterable[int],
+                 value: int = 1) -> Event:
+        """One event that fires when every flag in ``idxs`` on ``rank``
+        has reached ``value`` — a countdown over the flags still unset, in
+        place of one :meth:`wait_until` per flag."""
+        ev = self.sim.event()
+        row = self._values[rank]
+        pending = [idx for idx in idxs if row[idx] < value]
+        if not pending:
+            ev.succeed()
+            return ev
+        countdown = _Countdown(len(pending), ev)
+        waiters = self._waiters
+        for idx in pending:
+            waiters.setdefault((rank, idx), []).append((value, countdown))
         return ev
 
     def all_set(self, rank: int, value: int = 1) -> bool:

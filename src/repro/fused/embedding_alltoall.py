@@ -169,8 +169,8 @@ class FusedEmbeddingAllToAll:
                 (cfg.local_batch(self.world),
                  self.world * cfg.tables_per_gpu, cfg.dim), np.float32)
 
-        n_s = cfg.slices_per_stripe(self.world)
-        self.n_flags = self.world * cfg.tables_per_gpu * n_s
+        self._n_s = cfg.slices_per_stripe(self.world)
+        self.n_flags = self.world * cfg.tables_per_gpu * self._n_s
         self.flags = [
             self.comm.alloc_flags(self.n_flags, name=f"sliceRdy[{r}]")
             for r in range(self.world)
@@ -178,8 +178,7 @@ class FusedEmbeddingAllToAll:
 
     # -- flag indexing ---------------------------------------------------------
     def flag_index(self, src: int, table: int, s: int) -> int:
-        n_s = self.cfg.slices_per_stripe(self.world)
-        return (src * self.cfg.tables_per_gpu + table) * n_s + s
+        return (src * self.cfg.tables_per_gpu + table) * self._n_s + s
 
     # -- kernel construction ---------------------------------------------------
     def _tasks_per_slice(self, rank: int) -> int:
@@ -296,9 +295,8 @@ class FusedEmbeddingAllToAll:
         flags = self.flags_for(rank)
 
         def epilogue(slot_ctx):
-            n_slots = slot_ctx.kernel.n_slots
-            for fidx in range(slot_ctx.slot_id, self.n_flags, n_slots):
-                yield flags.wait_until(rank, fidx)
+            yield flags.wait_all(rank, range(slot_ctx.slot_id, self.n_flags,
+                                             slot_ctx.kernel.n_slots))
 
         return epilogue
 

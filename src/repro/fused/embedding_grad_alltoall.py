@@ -129,14 +129,13 @@ class FusedEmbeddingGradAllToAll:
             self.recv = self.comm.alloc(
                 (self.world, cfg.local_batch(self.world),
                  cfg.tables_per_gpu, cfg.dim), np.float32)
-        n_s = cfg.slices_per_stripe(self.world)
-        self.n_flags = self.world * cfg.tables_per_gpu * n_s
+        self._n_s = cfg.slices_per_stripe(self.world)
+        self.n_flags = self.world * cfg.tables_per_gpu * self._n_s
         self.flags = [self.comm.alloc_flags(self.n_flags, name=f"gradRdy[{r}]")
                       for r in range(self.world)]
 
     def flag_index(self, src_dst: int, table: int, s: int) -> int:
-        n_s = self.cfg.slices_per_stripe(self.world)
-        return (src_dst * self.cfg.tables_per_gpu + table) * n_s + s
+        return (src_dst * self.cfg.tables_per_gpu + table) * self._n_s + s
 
     # -- task construction ---------------------------------------------------
     def _build_tasks(self, rank: int) -> List[WgTask]:

@@ -198,6 +198,9 @@ class FusedGemmAllToAll:
             dst = (pos[0] * cfg.block_m) // tps
             return {"remote": dst != rank, "dest": dst}
 
+        costs = {False: self._tile_cost(remote=False),
+                 True: self._tile_cost(remote=True)}
+
         if cfg.functional:
             # View of the destination layout for put_tile indexing: each
             # dest d's buffer is out.local(d)[d] -> (world, tps, ffn).
@@ -206,10 +209,10 @@ class FusedGemmAllToAll:
                 gemm_a2a_kernel, grid,
                 (self.acts[rank], self.weights[rank], out_view, rank, tps,
                  cfg.block_m, cfg.block_n, cfg.tile_wire_bytes()),
-                cost=self._tile_cost(remote=False),  # per-task cost set below
+                cost=costs[False],  # per-task cost set below
                 shmem_ctx=ctx, meta_fn=meta_fn)
             for t in tasks:
-                t.cost = self._tile_cost(remote=t.meta["remote"])
+                t.cost = costs[t.meta["remote"]]
         else:
             # Analytic mirror of the Triton path (same tasks, no payloads).
             from ..kernels.grid import WgTask
@@ -228,7 +231,7 @@ class FusedGemmAllToAll:
                     yield slot_ctx.charge(spec.shmem_api_latency)
 
                 tasks.append(WgTask(task_id=task_id,
-                                    cost=self._tile_cost(meta["remote"]),
+                                    cost=costs[meta["remote"]],
                                     meta=meta, on_complete=hook))
 
         # Per-destination completion counting (the WG_Done bitmask role):
@@ -261,9 +264,10 @@ class FusedGemmAllToAll:
         return hook
 
     def _epilogue(self, rank: int):
+        srcs = range(self.world)
+
         def epilogue(slot_ctx):
-            for src in range(self.world):
-                yield self.tile_rdy.wait_until(rank, src)
+            yield self.tile_rdy.wait_all(rank, srcs)
 
         return epilogue
 

@@ -277,11 +277,10 @@ class FusedGemvAllReduce:
         agg.add_callback(fire)
 
     def _epilogue(self, rank: int):
+        owners = [o for o in range(self.world) if o != rank]
+
         def epilogue(slot_ctx):
-            for owner in range(self.world):
-                if owner == rank:
-                    continue
-                yield self.final_rdy.wait_until(rank, owner)
+            yield self.final_rdy.wait_all(rank, owners)
 
         return epilogue
 

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 from ..hw.gpu import Gpu, OccupancyInfo, WgCost
 from ..sim import Simulator, TraceRecorder
 
-__all__ = ["WgTask", "SlotContext"]
+__all__ = ["WgTask", "SlotContext", "Charge"]
 
 
 @dataclass(slots=True)
@@ -51,9 +51,26 @@ class WgTask:
         return bool(self.meta.get("remote", False))
 
 
+class Charge:
+    """WG time a hook spends under the kernel dispatcher.
+
+    The dispatcher continues the hook from its own wake-up heap after
+    ``delay`` seconds, so a charge costs no simulator event of its own.
+    """
+
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: float):
+        self.delay = delay
+
+
 @dataclass(slots=True)
 class SlotContext:
-    """Execution context handed to task hooks by a physical WG slot."""
+    """Execution context handed to task hooks by a physical WG slot.
+
+    ``dispatched`` marks a slot run by the kernel dispatcher: its
+    :meth:`charge` returns a :class:`Charge` instead of a scheduled timeout.
+    """
 
     sim: Simulator
     gpu: Gpu
@@ -61,15 +78,19 @@ class SlotContext:
     slot_id: int
     occupancy: OccupancyInfo
     trace: TraceRecorder
+    dispatched: bool = False
+    actor: str = field(init=False)
 
-    @property
-    def actor(self) -> str:
-        return f"{self.gpu.name}/wg{self.slot_id}"
+    def __post_init__(self):
+        self.actor = f"{self.gpu.name}/wg{self.slot_id}"
 
     def charge(self, seconds: float):
-        """Spend WG time (API latency, bookkeeping) — yield the result."""
+        """Spend WG time (API latency, bookkeeping) — yield the result
+        directly from the hook."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
+        if self.dispatched:
+            return Charge(seconds)
         return self.sim.timeout(seconds)
 
     def record(self, kind: str, **detail) -> None:

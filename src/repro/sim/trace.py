@@ -96,6 +96,12 @@ class TraceRecorder:
             seen.setdefault(ev.actor, None)
         return list(seen)
 
+    def _span_kinds(self, which: str) -> tuple[str, str]:
+        if which not in self.SPAN_KINDS:
+            raise KeyError(f"unknown span kind {which!r}; "
+                           f"choose from {sorted(self.SPAN_KINDS)}")
+        return self.SPAN_KINDS[which]
+
     def spans(self, which: str, actor: Optional[str] = None) -> list[Span]:
         """Stitch start/end event pairs into :class:`Span` objects.
 
@@ -105,10 +111,7 @@ class TraceRecorder:
         (LIFO matching).  Unmatched trailing starts are dropped (the
         simulation ended mid-span).
         """
-        if which not in self.SPAN_KINDS:
-            raise KeyError(f"unknown span kind {which!r}; "
-                           f"choose from {sorted(self.SPAN_KINDS)}")
-        start_kind, end_kind = self.SPAN_KINDS[which]
+        start_kind, end_kind = self._span_kinds(which)
         open_by_actor: dict[str, list[TraceEvent]] = {}
         out: list[Span] = []
         for ev in self.events:
@@ -148,16 +151,33 @@ class TraceRecorder:
                 return 0
             return min(width - 1, int((t - t0) / extent * (width - 1)))
 
+        start_kind, end_kind = self._span_kinds(span_kind)
+        # One pass over the records, for the requested actors only: spans
+        # are stitched per actor with a stack of open start times (LIFO, as
+        # in :meth:`spans`); markers are drawn after every span.
+        rows = {a: [" "] * width for a in actor_list}
+        open_starts: dict[str, list[float]] = {a: [] for a in rows}
+        markers: list[tuple[list[str], float]] = []
+        for ev in self.events:
+            row = rows.get(ev.actor)
+            if row is None:
+                continue
+            kind = ev.kind
+            if kind == start_kind:
+                open_starts[ev.actor].append(ev.time)
+            elif kind == end_kind:
+                stack = open_starts[ev.actor]
+                if stack:
+                    for c in range(col(stack.pop()), col(ev.time) + 1):
+                        row[c] = "#"
+            if kind == marker_kind:
+                markers.append((row, ev.time))
+        for row, t in markers:
+            row[col(t)] = "P"
         lines = []
         label_w = max(len(a) for a in actor_list) + 1
         for a in actor_list:
-            row = [" "] * width
-            for sp in self.spans(span_kind, actor=a):
-                for c in range(col(sp.start), col(sp.end) + 1):
-                    row[c] = "#"
-            for ev in self.filter(kind=marker_kind, actor=a):
-                row[col(ev.time)] = "P"
-            lines.append(f"{a:<{label_w}}|{''.join(row)}|")
+            lines.append(f"{a:<{label_w}}|{''.join(rows[a])}|")
         lines.append(f"{'':<{label_w}}|{'-' * width}|")
         lines.append(f"{'':<{label_w}} t0={t0:.3e}s  t1={t1:.3e}s")
         return "\n".join(lines)

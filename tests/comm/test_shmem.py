@@ -172,6 +172,79 @@ def test_flag_array_threshold_semantics(scaleup):
     assert ev.processed
 
 
+def test_wait_all_already_set_fires_now(scaleup):
+    sim, _cluster, comm = scaleup
+    flags = comm.alloc_flags(4)
+    for idx in (0, 2, 3):
+        flags.set(1, idx)
+
+    def proc(sim):
+        yield flags.wait_all(1, [0, 2, 3])
+        return sim.now
+
+    assert sim.run_process(proc(sim)) == 0.0
+    assert flags._waiters == {}
+
+
+def test_wait_all_fires_when_the_last_unset_flag_is_set(scaleup):
+    sim, _cluster, comm = scaleup
+    flags = comm.alloc_flags(4)
+    flags.set(0, 1)
+    ev = flags.wait_all(0, range(4))
+    # One countdown, registered only on the three flags still unset.
+    assert sorted(flags._waiters) == [(0, 0), (0, 2), (0, 3)]
+
+    seen = []
+
+    def setter(sim):
+        for idx in (3, 0, 2):
+            yield sim.timeout(1.0)
+            flags.set(0, idx)
+            seen.append((sim.now, ev.triggered))
+
+    sim.process(setter(sim))
+    sim.run()
+    assert seen == [(1.0, False), (2.0, False), (3.0, True)]
+    assert ev.processed and flags._waiters == {}
+
+
+def test_wait_all_value_threshold(scaleup):
+    sim, _cluster, comm = scaleup
+    flags = comm.alloc_flags(2)
+    flags.set(0, 0, value=5)
+    ev = flags.wait_all(0, [0, 1], value=4)
+    flags.set(0, 1, value=3)
+    assert not ev.triggered
+    flags.set(0, 1, value=4)
+    sim.run()
+    assert ev.processed
+
+
+def test_wait_all_empty_index_list_fires_now(scaleup):
+    sim, _cluster, comm = scaleup
+    flags = comm.alloc_flags(1)
+    ev = flags.wait_all(0, [])
+    sim.run()
+    assert ev.processed and sim.now == 0.0
+
+
+def test_wait_all_on_never_set_flag_deadlocks(scaleup):
+    from repro.sim import SimulationError
+
+    sim, _cluster, comm = scaleup
+    flags = comm.alloc_flags(3)
+    flags.set(0, 0)
+    flags.set(0, 2)
+
+    def proc(sim):
+        yield flags.wait_all(0, range(3))
+
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_process(proc(sim))
+    with pytest.raises(RuntimeError, match="pending waiters"):
+        flags.reset()
+
+
 def test_flag_reset_guards_pending_waiters(scaleup):
     _sim, _cluster, comm = scaleup
     flags = comm.alloc_flags(1)

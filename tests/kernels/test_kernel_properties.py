@@ -135,6 +135,61 @@ def test_exception_in_hook_fails_kernel_process():
     assert proc.triggered and not proc.ok
 
 
+@pytest.fixture(params=["1", "0"], ids=["dispatcher", "per-task"])
+def fastpath(request, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_FASTPATH", request.param)
+
+
+def _failing_launch(tasks, **kw):
+    gpu = Gpu(Simulator(), MI210, gpu_id=0)
+    proc = PersistentKernel(gpu, RES, tasks, **kw).launch()
+    gpu.sim.run()
+    assert proc.triggered and not proc.ok
+    return proc._value
+
+
+def test_exception_in_epilogue_fails_kernel_process(fastpath):
+    def epilogue(ctx):
+        if ctx.slot_id == 1:
+            raise RuntimeError("epilogue exploded")
+        return None
+
+    exc = _failing_launch(make_uniform_tasks(4, WgCost(bytes=1e3)),
+                          epilogue=epilogue)
+    assert isinstance(exc, RuntimeError)
+
+
+def test_exception_after_a_charge_fails_kernel_process(fastpath):
+    def hook(ctx, task):
+        yield ctx.charge(1e-6)
+        if task.task_id == 2:
+            raise KeyError("late hook failure")
+
+    tasks = [WgTask(task_id=i, cost=WgCost(bytes=1e3), on_complete=hook)
+             for i in range(6)]
+    assert isinstance(_failing_launch(tasks), KeyError)
+
+
+def test_exception_after_a_flag_wait_fails_kernel_process(fastpath):
+    """A hook resumed by an outside event (not the kernel's own wake-ups)
+    still fails the kernel, and a failed event is thrown into the hook."""
+    sim = Simulator()
+    gpu = Gpu(sim, MI210, gpu_id=0)
+    gate = sim.event()
+
+    def hook(ctx, task):
+        yield gate
+
+    sim.timeout(1e-3).add_callback(
+        lambda _e: gate.fail(ValueError("flag never came")))
+    tasks = [WgTask(task_id=i, cost=WgCost(bytes=1e3), on_complete=hook)
+             for i in range(3)]
+    proc = PersistentKernel(gpu, RES, tasks).launch()
+    sim.run()
+    assert proc.triggered and not proc.ok
+    assert isinstance(proc._value, ValueError)
+
+
 def test_epilogue_waiting_on_never_set_flag_deadlocks_cleanly():
     """A fused kernel whose sliceRdy flag never arrives must surface as a
     deadlock, not hang or silently complete."""

@@ -266,6 +266,56 @@ def test_fairshare_conservation_of_bytes():
     assert end >= sum(sizes) / 64.0 - 1e-9
 
 
+def _count_events(sim):
+    steps = 0
+    while sim.peek() != float("inf"):
+        sim.step()
+        steps += 1
+    return steps
+
+
+def test_fairshare_burst_times_unchanged_with_fewer_events():
+    """Arrivals at one timestamp share one reschedule.  Completion times
+    are pinned float for float (``==``) to the values of the
+    one-reschedule-per-arrival model, and the run must not process more
+    than that model's 30 events."""
+    sim = Simulator()
+    link = FairShareLink(sim, bandwidth=64.0, latency=0.5)
+    done = {}
+
+    def burst(at, sizes):
+        def go(_ev):
+            for i, n in enumerate(sizes):
+                link.transfer(n).add_callback(
+                    lambda _e, tag=(at, i): done.__setitem__(tag, sim.now))
+        sim.timeout(at).add_callback(go)
+
+    burst(0.0, [64.0, 128.0, 128.0, 256.0, 40.0])
+    burst(1.0, [32.0, 32.0, 96.0])
+    burst(2.5, [64.0])
+    burst(30.0, [10.0])
+    assert _count_events(sim) <= 30
+    assert done == {
+        (0.0, 0): 7.5375, (0.0, 1): 11.625, (0.0, 2): 11.625,
+        (0.0, 3): 13.625, (0.0, 4): 5.137499999999999,
+        (1.0, 0): 5.7375, (1.0, 1): 5.7375, (1.0, 2): 10.725,
+        (2.5, 0): 9.475, (30.0, 0): 30.65625,
+    }
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 32])
+def test_fairshare_burst_of_k_costs_three_link_events(k):
+    """One put arms one timer; a burst of k >= 3 puts costs the first
+    arrival's timer, one deferred reschedule and one live timer — plus the
+    k completions either way."""
+    sim = Simulator()
+    link = FairShareLink(sim, bandwidth=64.0, latency=0.5)
+    evs = [link.transfer(16.0) for _ in range(k)]
+    assert _count_events(sim) == k + (1 if k == 1 else 3)
+    assert all(ev.processed for ev in evs)
+    assert sim.now == 16.0 * k / 64.0 + 0.5
+
+
 def test_fairshare_active_flow_count():
     sim = Simulator()
     link = FairShareLink(sim, bandwidth=100.0)

@@ -189,6 +189,44 @@ def test_render_zero_duration_span_in_nonzero_trace():
     assert body[20] == "#"  # t=5 of [0, 10] at width 41 -> column 20
 
 
+def test_render_timeline_matches_span_and_marker_queries():
+    """The one-pass renderer draws exactly what stitching ``spans()`` and
+    ``filter()`` per actor draws: nested and unmatched spans, markers on
+    top of spans, duplicate and absent actors."""
+    import random
+
+    rng = random.Random(11)
+    tr = TraceRecorder()
+    actors = ["a", "b", "c"]
+    for _ in range(300):
+        kind = rng.choice(["wg_start", "wg_end", "put_issue", "flag_set"])
+        tr.record(rng.uniform(0.0, 10.0), kind, rng.choice(actors))
+    chosen = ["b", "a", "b", "zz"]
+    width = 57
+    t0 = min(ev.time for ev in tr.events)
+    extent = max(ev.time for ev in tr.events) - t0
+
+    def col(t):
+        return min(width - 1, int((t - t0) / extent * (width - 1)))
+
+    expected = []
+    for a in chosen:
+        row = [" "] * width
+        for sp in tr.spans("wg", actor=a):
+            for c in range(col(sp.start), col(sp.end) + 1):
+                row[c] = "#"
+        for ev in tr.filter(kind="put_issue", actor=a):
+            row[col(ev.time)] = "P"
+        expected.append(f"{a:<3}|{''.join(row)}|")
+    out = tr.render_timeline(actors=chosen, width=width).splitlines()
+    assert out[:len(chosen)] == expected
+
+
+def test_render_timeline_unknown_span_kind():
+    with pytest.raises(KeyError, match="unknown span kind"):
+        make_trace().render_timeline(span_kind="nope")
+
+
 def test_clear():
     tr = make_trace()
     tr.clear()
