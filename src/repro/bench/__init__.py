@@ -1,34 +1,29 @@
-"""Benchmark harness: regenerates every table and figure of the paper."""
+"""Benchmark harness: regenerates every table and figure of the paper.
 
-from .figures import (
-    fig8_embedding_a2a_intranode,
-    fig9_gemv_allreduce,
-    fig10_gemm_a2a,
-    fig11_wg_timeline,
-    fig12_embedding_a2a_internode,
-    fig13_occupancy_sweep,
-    fig14_scheduling_skew,
-    fig15_scaleout,
-    table1_setup,
-    table2_setup,
-)
-from .harness import FigureResult, Row, compare
-from .perf import time_call, write_bench_report
+Names resolve on first access (:mod:`repro.utils.lazy`): report readers
+need only :class:`~repro.bench.harness.FigureResult`, and must not pay
+for the figure functions, which load the fused operators and numpy.
+"""
 
-__all__ = [
-    "FigureResult",
-    "Row",
-    "compare",
-    "fig8_embedding_a2a_intranode",
-    "fig9_gemv_allreduce",
-    "fig10_gemm_a2a",
-    "fig11_wg_timeline",
-    "fig12_embedding_a2a_internode",
-    "fig13_occupancy_sweep",
-    "fig14_scheduling_skew",
-    "fig15_scaleout",
-    "table1_setup",
-    "table2_setup",
-    "time_call",
-    "write_bench_report",
-]
+from ..utils.lazy import lazy_exports
+
+_EXPORTS = {
+    "FigureResult": "harness",
+    "Row": "harness",
+    "compare": "harness",
+    "fig8_embedding_a2a_intranode": "figures",
+    "fig9_gemv_allreduce": "figures",
+    "fig10_gemm_a2a": "figures",
+    "fig11_wg_timeline": "figures",
+    "fig12_embedding_a2a_internode": "figures",
+    "fig13_occupancy_sweep": "figures",
+    "fig14_scheduling_skew": "figures",
+    "fig15_scaleout": "figures",
+    "table1_setup": "figures",
+    "table2_setup": "figures",
+    "time_call": "perf",
+    "write_bench_report": "perf",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,8 +27,14 @@ from ..fused.gemv_allreduce import (
     GemvAllReduceConfig,
 )
 from ..astra import run_dlrm_scaleout, sweep_node_counts
-from ..hw.platform import PlatformLike, get_platform, \
-    max_occupancy_of_baseline
+from ..experiments.sweeps import (
+    FIG8_GRID,
+    FIG9_GRID,
+    FIG10_GRID,
+    FIG12_GRID,
+    occupancy_fractions_for,
+)
+from ..hw.platform import PlatformLike, get_platform
 from ..models.configs import TABLE2_DLRM, TABLE2_TORUS
 from ..sim import TraceRecorder
 from .harness import FigureResult, Row, compare
@@ -45,24 +51,6 @@ __all__ = [
     "fig14_scheduling_skew",
     "fig15_scaleout",
 ]
-
-#: Default sweep grids (paper configuration labels: {batch | tables/GPU}).
-FIG8_GRID: Sequence[Tuple[int, int]] = (
-    (512, 64), (512, 256), (1024, 64), (1024, 256),
-    (2048, 64), (2048, 256), (4096, 64), (4096, 256),
-)
-FIG12_GRID: Sequence[Tuple[int, int]] = (
-    (256, 64), (256, 256), (512, 256), (1024, 64), (1024, 256),
-    (2048, 256), (4096, 64), (4096, 256),
-)
-FIG9_GRID: Sequence[Tuple[int, int]] = (
-    (8192, 8192), (8192, 16384), (16384, 8192), (16384, 16384),
-    (32768, 8192), (32768, 16384), (65536, 8192), (65536, 16384),
-)
-FIG10_GRID: Sequence[Tuple[int, int, int]] = (
-    (2048, 4096, 8192), (4096, 4096, 8192), (8192, 4096, 8192),
-    (4096, 4096, 14336), (8192, 4096, 14336),
-)
 
 
 def table1_setup(platform: PlatformLike = None) -> FigureResult:
@@ -213,27 +201,6 @@ def fig11_wg_timeline(batch: int = 512, tables: int = 32,
     res.extra["timeline"] = "\n" + trace.render_timeline(
         actors=actors, width=timeline_width)
     return res
-
-
-#: The paper's Fig. 13 x-axis (fractions of *baseline* occupancy; the
-#: last point is the MI210 fused kernel's register-pressure maximum).
-FIG13_FRACTIONS: Sequence[float] = (0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
-
-
-def occupancy_fractions_for(platform: PlatformLike,
-                            fractions: Optional[Sequence[float]] = None
-                            ) -> Sequence[float]:
-    """Resolve a Fig. 13 fraction grid against a platform's fused maximum.
-
-    ``None`` means the paper's default grid clipped to what the
-    platform's derived fused footprint can actually reach (on the MI210
-    the grid passes through unchanged).  Explicit fractions are the
-    caller's responsibility and pass through untouched.
-    """
-    if fractions is not None:
-        return fractions
-    max_frac = max_occupancy_of_baseline(get_platform(platform).gpu)
-    return tuple(f for f in FIG13_FRACTIONS if f <= max_frac + 1e-9)
 
 
 def fig13_occupancy_sweep(batch: int = 1024, tables: int = 256,

@@ -10,10 +10,10 @@ comparison in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..fused.base import OpHarness
-from ..sim import TraceRecorder
+if TYPE_CHECKING:
+    from ..sim import TraceRecorder
 
 __all__ = ["Row", "FigureResult", "compare"]
 
@@ -140,6 +140,9 @@ def compare(label: str, fused_factory: Callable, baseline_factory: Callable,
     (anything :func:`repro.hw.platform.get_platform` resolves; default:
     the calibrated MI210).
     """
+    # The runners that call this import the fused operators anyway; the
+    # report readers that import FigureResult from here must not.
+    from ..fused.base import OpHarness
     h1 = OpHarness(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
                    trace=trace, platform=platform)
     fused = h1.run(fused_factory(h1))

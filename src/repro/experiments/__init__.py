@@ -21,8 +21,10 @@ parameter (hashed into the store key; absent for the default path, so
 pre-existing records stay addressable).
 
 All of the paper's figures/tables, the ablations, and the analytic
-design-space grids are registered as sweeps (see
-:mod:`repro.experiments.figures`); :func:`regenerate` is the one-call
+design-space grids are declared as sweeps (see
+:mod:`repro.experiments.sweeps`; each is built on first request) and run
+by the runners of :mod:`repro.experiments.figures`, which is imported on
+the first runner or assembler lookup; :func:`regenerate` is the one-call
 bridge used by the benchmark suite.
 """
 

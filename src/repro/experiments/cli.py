@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .mega import find_mega, list_megas, run_mega
-from .registry import get_sweep, list_sweeps
+from .registry import get_sweep, list_declarations, list_sweeps
 from .report import diff_reports, load_report, render_report, report_json
 from .execution import default_workers, run_sweep
 from .specs import (
@@ -74,8 +74,9 @@ def _progress_printer(quiet: bool):
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    sweeps = list_sweeps()
     if getattr(args, "json", False):
+        # Sweep keys hash every scenario, so this builds every sweep.
+        sweeps = list_sweeps()
         print(json.dumps([
             {
                 "name": s.name,
@@ -100,6 +101,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             for m in list_megas()
         ], indent=2, sort_keys=True))
         return 0
+    sweeps = list_declarations()
     megas = list_megas()
     width = max(len(s.name) for s in sweeps + megas)
     for sweep in sweeps:

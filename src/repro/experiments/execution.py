@@ -20,7 +20,6 @@ Scenario order in the sweep is preserved regardless of completion order.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -220,6 +219,7 @@ def run_sweep(sweep: Union[str, SweepSpec],
             metrics.inc("sweep.batch_fastpath_scenarios", len(batched))
 
     if len(misses) > 1 and workers > 1:
+        import multiprocessing  # only a parallel run needs a pool
         ctx = multiprocessing.get_context("spawn")
         n = min(workers, len(misses))
         with metrics.timer("sweep.pool_wall_s"):

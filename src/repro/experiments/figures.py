@@ -1,38 +1,37 @@
-"""The paper's evaluation, ported onto the orchestrator.
+"""The paper's evaluation, ported onto the orchestrator: runners and
+assemblers.
 
 Every figure/table of ``repro.bench.figures`` and every ablation that used
-to live inline in ``benchmarks/`` is re-expressed here as a
-:class:`~repro.experiments.specs.SweepSpec`: a list of independent
-scenarios (one simulation — or one fused/baseline pair — each) plus an
-assembler that rebuilds the exact :class:`FigureResult` the direct path
-produces.  Each runner dispatches on the ``backend`` scenario parameter:
-the default discrete-event engine, or the closed-form analytic engine
+to live inline in ``benchmarks/`` is re-expressed as a
+:class:`~repro.experiments.specs.SweepSpec` (built by the factories of
+:mod:`repro.experiments.sweeps`): a list of independent scenarios (one
+simulation — or one fused/baseline pair — each) plus an assembler that
+rebuilds the exact :class:`FigureResult` the direct path produces.  This
+module holds the other half: the scenario runners and the assemblers.
+Each runner dispatches on the ``backend`` scenario parameter: the default
+discrete-event engine, or the closed-form analytic engine
 (:mod:`repro.analytic`) that evaluates the same workload thousands of
-times faster — the axis behind the large ``dse_*`` design-space sweeps.  Scenario independence is what buys parallel sharding and
+times faster — the axis behind the large ``dse_*`` design-space sweeps.
+Scenario independence is what buys parallel sharding and
 content-addressed caching; the assemblers replicate the direct path's
 aggregation (worst-point normalization, skew statistics, paper-comparison
 strings) bit for bit, which
 ``tests/experiments/test_figure_equivalence.py`` enforces.
 
-The sweep factories (``fig8_sweep(grid=...)`` etc.) accept the same grid
-parameters as the direct functions so tests and users can build reduced
-or enlarged variants; module import registers the paper-default instance
-of each under its canonical name (``fig8`` … ``fig15``, ``table1/2``,
-``ablation-*``, ``ext-embedding-backward``, and a tiny ``smoke`` sweep
-for CI).
+Importing this module registers the runners and assemblers and loads the
+whole simulation stack they run on, so a runner's first call pays no
+import.  The registry imports it on the first runner or assembler lookup
+that misses; listing sweeps, reporting them and fully cached runs never
+do.  The sweep factories are re-exported here
+(``from repro.experiments.figures import fig9_sweep`` keeps working).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..astra import run_dlrm_scaleout
-from ..bench.figures import (
-    FIG8_GRID,
-    FIG9_GRID,
-    FIG10_GRID,
-    FIG12_GRID,
-)
+from ..bench.figures import table1_setup, table2_setup
 from ..bench.harness import FigureResult, Row, compare
 from ..fused.base import OpHarness
 from ..fused.embedding_alltoall import (
@@ -54,16 +53,47 @@ from ..fused.gemv_allreduce import (
     FusedGemvAllReduce,
     GemvAllReduceConfig,
 )
-from ..hw.platform import PlatformLike, get_platform, \
-    max_occupancy_of_baseline
+# hw.gpu imports the HBM model only when a Gpu is built; load it here with
+# the rest of the stack so the first runner call imports nothing.
+from ..hw import memory  # noqa: F401
 from ..sim import TraceRecorder
-from .registry import assembler, register_sweep, runner
-from .specs import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ScenarioSpec,
-    SweepSpec,
-    scenario,
+from .registry import assembler, runner
+from .specs import BACKENDS, DEFAULT_BACKEND, ScenarioSpec, SweepSpec
+from .sweeps import (
+    DSE_ALGOS,
+    DSE_PLATFORMS,
+    HIDDEN,
+    XALGO_ALLREDUCE,
+    XALGO_ALLTOALL,
+    XHW_PLATFORMS,
+    _platform_display,
+    ablation_cpu_proxy_sweep,
+    ablation_scheduling_sweep,
+    ablation_slice_size_sweep,
+    ablation_zero_copy_sweep,
+    dse_fused_frontier_sweep,
+    dse_smoke_sweep,
+    ext_embedding_backward_sweep,
+    fig8_sweep,
+    fig9_sweep,
+    fig10_sweep,
+    fig11_sweep,
+    fig12_sweep,
+    fig13_sweep,
+    fig14_sweep,
+    fig15_sweep,
+    smoke_sweep,
+    table1_sweep,
+    table2_sweep,
+    trace_smoke_sweep,
+    xalgo_allreduce_sweep,
+    xalgo_alltoall_sweep,
+    xalgo_smoke_sweep,
+    xhw_embedding_a2a_sweep,
+    xhw_gemm_a2a_sweep,
+    xhw_gemv_allreduce_sweep,
+    xhw_scaleout_sweep,
+    xhw_smoke_sweep,
 )
 
 __all__ = [
@@ -95,16 +125,6 @@ def _scenario_backend(p: Dict[str, Any]) -> str:
     return backend
 
 
-def _platform_param(platform: PlatformLike):
-    """Canonical ``platform`` scenario parameter (hashed into store keys).
-
-    Resolving first normalizes every accepted spelling (``None``, name,
-    :class:`~repro.hw.platform.Platform`, params mapping) to one stable
-    JSON value: the catalog name when the platform is registered, else its
-    full params mapping.
-    """
-    return get_platform(platform).param()
-
 def _reject_algo(p: Dict[str, Any], runner: str) -> None:
     """Fail fast when an ``algo`` parameter reaches a runner with no
     baseline collective to schedule.
@@ -119,11 +139,6 @@ def _reject_algo(p: Dict[str, Any], runner: str) -> None:
             f"parameter does not apply (drop --algo / the algo param, "
             f"or use a collective-bearing sweep — see "
             f"`python -m repro algos`)")
-
-
-#: Hidden-scenario convention: labels starting with this prefix feed a
-#: figure's ``extra`` statistics but do not appear as rows.
-HIDDEN = "_"
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +313,6 @@ def _dlrm_scaleout(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @runner("table_setup")
 def _table_setup(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..bench.figures import table1_setup, table2_setup
     p = dict(params)
     _reject_algo(p, "table_setup")
     _scenario_backend(p)  # table rendering is closed-form on either engine
@@ -398,11 +412,6 @@ def _assemble_sched_skew(sweep: SweepSpec, specs, results, figure: str = "",
         f"(paper: ~7%)")
     res.extra["skews"] = skews
     return res
-
-
-def _platform_display(value) -> str:
-    """Display name of a canonical ``platform`` scenario parameter."""
-    return value if isinstance(value, str) else value.get("name", "custom")
 
 
 @assembler("xalgo")
@@ -586,554 +595,3 @@ def _assemble_proxy_ablation(sweep: SweepSpec, specs, results,
         f"{100 * (times[True] / times[False] - 1):.2f}% slower through "
         f"the proxy")
     return res
-
-
-# ----------------------------------------------------------------------
-# Sweep factories (parameterizable grids) + paper-default registrations.
-# ----------------------------------------------------------------------
-
-def _embedding_pair_scenarios(grid, num_nodes: int, gpus_per_node: int,
-                              platform: PlatformLike = None
-                              ) -> List[ScenarioSpec]:
-    return [
-        scenario("embedding_a2a_pair", label=f"{batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables,
-                 num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-                 platform=_platform_param(platform))
-        for batch, tables in grid
-    ]
-
-
-def fig8_sweep(grid=FIG8_GRID, name: str = "fig8",
-               platform: PlatformLike = None) -> SweepSpec:
-    return SweepSpec.make(
-        name, "Fig. 8",
-        _embedding_pair_scenarios(grid, num_nodes=1, gpus_per_node=4,
-                                  platform=platform),
-        assembler="rows", figure="Fig. 8",
-        description="Normalized execution time, intra-node embedding+A2A",
-        paper_mean=0.80, paper_best=0.68)
-
-
-def fig12_sweep(grid=FIG12_GRID, name: str = "fig12",
-                platform: PlatformLike = None) -> SweepSpec:
-    return SweepSpec.make(
-        name, "Fig. 12",
-        _embedding_pair_scenarios(grid, num_nodes=2, gpus_per_node=1,
-                                  platform=platform),
-        assembler="rows", figure="Fig. 12",
-        description="Normalized execution time, inter-node embedding+A2A",
-        paper_mean=0.69, paper_best=0.42)
-
-
-def fig9_sweep(grid=FIG9_GRID, world: int = 4, name: str = "fig9",
-               platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("gemv_allreduce_pair",
-                 label=GemvAllReduceConfig(m=m, n_per_gpu=n_total // world,
-                                           functional=False).label,
-                 m=m, n_per_gpu=n_total // world, world=world,
-                 platform=_platform_param(platform))
-        for m, n_total in grid
-    ]
-    return SweepSpec.make(
-        name, "Fig. 9", scenarios, assembler="rows", figure="Fig. 9",
-        description="Normalized execution time, GEMV+AllReduce",
-        paper_mean=0.87, paper_best=0.78)
-
-
-def fig10_sweep(grid=FIG10_GRID, world: int = 4, name: str = "fig10",
-                platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("gemm_a2a_pair",
-                 label=GemmA2AConfig(tokens=tokens, model_dim=model_dim,
-                                     ffn_dim=ffn, functional=False).label,
-                 tokens=tokens, model_dim=model_dim, ffn_dim=ffn, world=world,
-                 platform=_platform_param(platform))
-        for tokens, model_dim, ffn in grid
-    ]
-    return SweepSpec.make(
-        name, "Fig. 10", scenarios, assembler="rows", figure="Fig. 10",
-        description="Normalized execution time, GEMM+All-to-All",
-        paper_mean=0.88, paper_best=0.80)
-
-
-def fig11_sweep(batch: int = 512, tables: int = 32, wgs_per_slice: int = 16,
-                timeline_width: int = 100, name: str = "fig11",
-                platform: PlatformLike = None) -> SweepSpec:
-    return SweepSpec.make(
-        name, "Fig. 11",
-        [scenario("wg_timeline", label=f"{batch}|{tables}",
-                  batch=batch, tables=tables, wgs_per_slice=wgs_per_slice,
-                  timeline_width=timeline_width,
-                  platform=_platform_param(platform))],
-        assembler="timeline", figure="Fig. 11",
-        description="Profiled timeline of persistent WGs (node 0)")
-
-
-def fig13_sweep(batch: int = 1024, tables: int = 256,
-                fractions: Optional[Sequence[float]] = None,
-                name: str = "fig13",
-                platform: PlatformLike = None) -> SweepSpec:
-    from ..bench.figures import occupancy_fractions_for
-    fractions = occupancy_fractions_for(platform, fractions)
-    scenarios = [
-        scenario("embedding_fused", label=f"{100 * frac:.1f}%",
-                 global_batch=batch, tables_per_gpu=tables,
-                 occupancy_of_baseline=frac, num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for frac in fractions
-    ]
-    return SweepSpec.make(
-        name, "Fig. 13", scenarios, assembler="occupancy", figure="Fig. 13",
-        description="Impact of WG occupancy on execution time")
-
-
-def fig14_sweep(grid: Sequence[Tuple[int, int]] = (
-        (1024, 64), (2048, 32), (2048, 64)),
-        name: str = "fig14",
-        platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("embedding_fused", label=f"{sched} {batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables, scheduler=sched,
-                 num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for sched in ("comm_aware", "oblivious")
-        for batch, tables in grid
-    ]
-    return SweepSpec.make(
-        name, "Fig. 14", scenarios, assembler="sched_skew", figure="Fig. 14",
-        description="Node execution-time skew by scheduling policy")
-
-
-def fig15_sweep(node_counts: Sequence[int] = (16, 32, 64, 128),
-                name: str = "fig15",
-                platform: PlatformLike = None) -> SweepSpec:
-    plat = _platform_param(platform)
-    scenarios = [
-        scenario("dlrm_scaleout", label=f"{n} nodes", num_nodes=n,
-                 platform=plat)
-        for n in node_counts
-    ]
-    if 128 not in node_counts:
-        scenarios.append(
-            scenario("dlrm_scaleout", label=f"{HIDDEN}128 nodes",
-                     num_nodes=128, platform=plat))
-    return SweepSpec.make(
-        name, "Fig. 15", scenarios, assembler="scaleout", figure="Fig. 15",
-        description="Scale-out DLRM training, fused vs baseline",
-        paper_mean=0.79)
-
-
-def table1_sweep(name: str = "table1",
-                 platform: PlatformLike = None) -> SweepSpec:
-    return SweepSpec.make(
-        name, "Table I",
-        [scenario("table_setup", label="setup", which="table1",
-                  platform=_platform_param(platform))],
-        assembler="table", figure="Table I",
-        description="System setup (simulated substrate)")
-
-
-def table2_sweep(name: str = "table2") -> SweepSpec:
-    return SweepSpec.make(
-        name, "Table II",
-        [scenario("table_setup", label="setup", which="table2")],
-        assembler="table", figure="Table II",
-        description="Scale-out simulation setup")
-
-
-#: Slice sizes swept by the granularity ablation.
-ABLATION_SLICES: Tuple[int, ...] = (8, 16, 32, 64, 128)
-
-
-def ablation_slice_size_sweep(batch: int = 1024, tables: int = 64,
-                              slices: Sequence[int] = ABLATION_SLICES,
-                              name: str = "ablation-slice-size",
-                              platform: PlatformLike = None) -> SweepSpec:
-    max_frac = max_occupancy_of_baseline(get_platform(platform).gpu)
-    scenarios = [
-        # Occupancy pinned to the fused kernel's (platform-derived)
-        # maximum so the sweep isolates communication granularity from
-        # grid-size effects.
-        scenario("embedding_fused", label=f"slice={sv}",
-                 global_batch=batch, tables_per_gpu=tables, slice_vectors=sv,
-                 occupancy_of_baseline=max_frac, num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for sv in slices
-    ]
-    return SweepSpec.make(
-        name, "Ablation", scenarios, assembler="slice_ablation",
-        figure="Ablation",
-        description=f"slice-size sweep, inter-node {batch}|{tables}")
-
-
-def ablation_scheduling_sweep(grid: Sequence[Tuple[int, int]] = (
-        (1024, 64), (2048, 64)),
-        name: str = "ablation-scheduling",
-        platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("embedding_fused", label=f"{sched} {batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables, scheduler=sched,
-                 num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for batch, tables in grid
-        for sched in ("comm_aware", "oblivious")
-    ]
-    return SweepSpec.make(
-        name, "Ablation", scenarios, assembler="sched_ablation",
-        figure="Ablation", description="scheduling policy, end-to-end time")
-
-
-def ablation_zero_copy_sweep(grid: Sequence[Tuple[int, int]] = (
-        (1024, 64), (2048, 128)),
-        name: str = "ablation-zero-copy",
-        platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("embedding_a2a_pair",
-                 label=f"{batch}|{tables} zc={'on' if zc else 'off'}",
-                 global_batch=batch, tables_per_gpu=tables, zero_copy=zc,
-                 num_nodes=1, gpus_per_node=4,
-                 platform=_platform_param(platform),
-                 baseline={"global_batch": batch, "tables_per_gpu": tables})
-        for batch, tables in grid
-        for zc in (True, False)
-    ]
-    return SweepSpec.make(
-        name, "Ablation", scenarios, assembler="rows", figure="Ablation",
-        description="zero-copy contribution (intra-node)")
-
-
-def ablation_cpu_proxy_sweep(batch: int = 1024, tables: int = 64,
-                             name: str = "ablation-cpu-proxy",
-                             platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("embedding_fused",
-                 label="cpu-proxy" if proxy else "gpu-initiated",
-                 global_batch=batch, tables_per_gpu=tables, cpu_proxy=proxy,
-                 num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for proxy in (False, True)
-    ]
-    return SweepSpec.make(
-        name, "Ablation", scenarios, assembler="proxy_ablation",
-        figure="Ablation",
-        description="GPU-initiated vs CPU-proxy networking")
-
-
-def ext_embedding_backward_sweep(grid: Sequence[Tuple[int, int]] = (
-        (256, 64), (1024, 64), (1024, 256), (4096, 64)),
-        name: str = "ext-embedding-backward",
-        platform: PlatformLike = None) -> SweepSpec:
-    scenarios = [
-        scenario("embedding_grad_pair", label=f"{batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables,
-                 num_nodes=2, gpus_per_node=1,
-                 platform=_platform_param(platform))
-        for batch, tables in grid
-    ]
-    return SweepSpec.make(
-        name, "Extension", scenarios, assembler="rows", figure="Extension",
-        description="fused gradient A2A + scatter-add (inter-node)")
-
-
-# ----------------------------------------------------------------------
-# Cross-hardware sweeps: the platform catalog as a sweep axis.
-# ----------------------------------------------------------------------
-
-#: Catalog entries the cross-hardware sweeps grid over by default.
-XHW_PLATFORMS: Tuple[str, ...] = ("mi210", "mi250x", "mi300x", "h100")
-
-#: Default workload points per cross-hardware sweep (kept small: the
-#: platform axis multiplies them).
-XHW_EMB_GRID: Tuple[Tuple[int, int], ...] = ((1024, 64), (4096, 256))
-XHW_GEMV_GRID: Tuple[Tuple[int, int], ...] = ((8192, 8192), (32768, 16384))
-XHW_GEMM_GRID: Tuple[Tuple[int, int, int], ...] = (
-    (2048, 4096, 8192), (8192, 4096, 14336))
-XHW_NODE_COUNTS: Tuple[int, ...] = (16, 64)
-
-
-def xhw_embedding_a2a_sweep(grid=XHW_EMB_GRID,
-                            platforms: Sequence[PlatformLike] = XHW_PLATFORMS,
-                            name: str = "xhw_embedding_a2a") -> SweepSpec:
-    """Fused embedding+A2A (Fig. 8 operator) across hardware platforms."""
-    scenarios = [
-        scenario("embedding_a2a_pair",
-                 label=f"{_platform_display(pp)} {batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables,
-                 num_nodes=1, gpus_per_node=4, platform=pp)
-        for pp in map(_platform_param, platforms)
-        for batch, tables in grid
-    ]
-    return SweepSpec.make(
-        name, "Cross-HW", scenarios, assembler="xhw",
-        figure="Cross-HW embedding+A2A",
-        description="fused vs baseline embedding+A2A across platforms")
-
-
-def xhw_gemv_allreduce_sweep(grid=XHW_GEMV_GRID, world: int = 4,
-                             platforms: Sequence[PlatformLike]
-                             = XHW_PLATFORMS,
-                             name: str = "xhw_gemv_allreduce") -> SweepSpec:
-    """Fused GEMV+AllReduce (Fig. 9 operator) across hardware platforms."""
-    scenarios = [
-        scenario("gemv_allreduce_pair",
-                 label=f"{_platform_display(pp)} "
-                       f"{GemvAllReduceConfig(m=m, n_per_gpu=n // world, functional=False).label}",
-                 m=m, n_per_gpu=n // world, world=world, platform=pp)
-        for pp in map(_platform_param, platforms)
-        for m, n in grid
-    ]
-    return SweepSpec.make(
-        name, "Cross-HW", scenarios, assembler="xhw",
-        figure="Cross-HW GEMV+AllReduce",
-        description="fused vs baseline GEMV+AllReduce across platforms")
-
-
-def xhw_gemm_a2a_sweep(grid=XHW_GEMM_GRID, world: int = 4,
-                       platforms: Sequence[PlatformLike] = XHW_PLATFORMS,
-                       name: str = "xhw_gemm_a2a") -> SweepSpec:
-    """Fused GEMM+A2A (Fig. 10 operator) across hardware platforms."""
-    scenarios = [
-        scenario("gemm_a2a_pair",
-                 label=f"{_platform_display(pp)} "
-                       f"{tokens}x{model_dim}x{ffn}",
-                 tokens=tokens, model_dim=model_dim, ffn_dim=ffn,
-                 world=world, platform=pp)
-        for pp in map(_platform_param, platforms)
-        for tokens, model_dim, ffn in grid
-    ]
-    return SweepSpec.make(
-        name, "Cross-HW", scenarios, assembler="xhw",
-        figure="Cross-HW GEMM+All-to-All",
-        description="fused vs baseline GEMM+A2A across platforms")
-
-
-def xhw_scaleout_sweep(node_counts: Sequence[int] = XHW_NODE_COUNTS,
-                       platforms: Sequence[PlatformLike] = XHW_PLATFORMS,
-                       name: str = "xhw_scaleout") -> SweepSpec:
-    """Scale-out DLRM training (Fig. 15 workload) across platforms."""
-    scenarios = [
-        scenario("dlrm_scaleout",
-                 label=f"{_platform_display(pp)} {n} nodes",
-                 num_nodes=n, platform=pp)
-        for pp in map(_platform_param, platforms)
-        for n in node_counts
-    ]
-    return SweepSpec.make(
-        name, "Cross-HW", scenarios, assembler="xhw",
-        figure="Cross-HW DLRM scale-out",
-        description="fused vs baseline DLRM iteration across platforms")
-
-
-def xhw_smoke_sweep(name: str = "xhw-smoke") -> SweepSpec:
-    """Two-platform cross-hardware slice for CI cache-behaviour checks."""
-    return xhw_gemv_allreduce_sweep(grid=((8192, 8192),),
-                                    platforms=("mi210", "h100"), name=name)
-
-
-# ----------------------------------------------------------------------
-# Collective-algorithm sweeps: the schedule menu as a sweep axis.
-# ----------------------------------------------------------------------
-
-#: AllReduce schedules the algorithm sweeps grid over (single node, so
-#: ``hier`` would just collapse onto ``direct`` — exercised by the
-#: multi-node equivalence tests instead).
-XALGO_ALLREDUCE: Tuple[str, ...] = ("direct", "ring", "tree")
-#: All-to-All schedules on the 2x2 shape, where all three differ.
-XALGO_ALLTOALL: Tuple[str, ...] = ("flat", "pairwise", "hier")
-XALGO_GEMV_GRID: Tuple[Tuple[int, int], ...] = ((8192, 8192),
-                                                (65536, 8192))
-XALGO_EMB_GRID: Tuple[Tuple[int, int], ...] = ((1024, 64), (4096, 256))
-
-
-def xalgo_allreduce_sweep(grid=XALGO_GEMV_GRID, world: int = 4,
-                          algos: Sequence[str] = XALGO_ALLREDUCE,
-                          platform: PlatformLike = None,
-                          name: str = "xalgo_allreduce") -> SweepSpec:
-    """GEMV+AllReduce (Fig. 9 operator) across baseline AllReduce
-    schedules: the fused operator vs each :mod:`repro.collectives`
-    algorithm's bulk collective."""
-    scenarios = [
-        scenario("gemv_allreduce_pair",
-                 label=f"{algo} "
-                       f"{GemvAllReduceConfig(m=m, n_per_gpu=n // world, functional=False).label}",
-                 m=m, n_per_gpu=n // world, world=world,
-                 platform=_platform_param(platform)).with_algo(algo)
-        for algo in algos
-        for m, n in grid
-    ]
-    return SweepSpec.make(
-        name, "Algorithms", scenarios, assembler="xalgo",
-        figure="Collective algorithms: AllReduce",
-        description="fused GEMV+AllReduce vs per-schedule baselines")
-
-
-def xalgo_alltoall_sweep(grid=XALGO_EMB_GRID, num_nodes: int = 2,
-                         gpus_per_node: int = 2,
-                         algos: Sequence[str] = XALGO_ALLTOALL,
-                         platform: PlatformLike = None,
-                         name: str = "xalgo_alltoall") -> SweepSpec:
-    """Embedding+A2A (Fig. 8/12 operator) on a 2-node x 2-GPU cluster
-    across baseline All-to-All schedules (the shape where flat, pairwise
-    and hierarchical genuinely differ)."""
-    scenarios = [
-        scenario("embedding_a2a_pair", label=f"{algo} {batch}|{tables}",
-                 global_batch=batch, tables_per_gpu=tables,
-                 num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-                 platform=_platform_param(platform)).with_algo(algo)
-        for algo in algos
-        for batch, tables in grid
-    ]
-    return SweepSpec.make(
-        name, "Algorithms", scenarios, assembler="xalgo",
-        figure="Collective algorithms: All-to-All",
-        description="fused embedding+A2A vs per-schedule baselines")
-
-
-def xalgo_smoke_sweep(name: str = "xalgo-smoke") -> SweepSpec:
-    """One workload x three AllReduce schedules for CI cache checks."""
-    return xalgo_allreduce_sweep(grid=((8192, 8192),), name=name)
-
-
-# ----------------------------------------------------------------------
-# Design-space exploration: large analytic grids + Pareto frontiers.
-# ----------------------------------------------------------------------
-
-#: Platform axis of the design-space sweeps (the full catalog).
-DSE_PLATFORMS: Tuple[str, ...] = ("mi210", "mi250x", "mi300x", "h100")
-#: Workload axes: global batch x tables (message volume), slice size
-#: (message granularity), occupancy split, and cluster topology.
-DSE_BATCHES: Tuple[int, ...] = (256, 512, 1024, 2048, 4096, 8192)
-DSE_TABLES: Tuple[int, ...] = (16, 64, 256)
-DSE_SLICES: Tuple[int, ...] = (16, 32, 64)
-DSE_OCCUPANCIES: Tuple[float, ...] = (0.25, 0.5, 0.75)
-DSE_TOPOLOGIES: Tuple[Tuple[int, int], ...] = ((1, 4), (2, 1))
-#: Baseline collective-schedule axis.  ``None`` is the legacy flat
-#: schedule (keeping those scenarios' store keys identical to the
-#: pre-algo grid); ``"pairwise"`` genuinely differs on both default
-#: topologies.  Hierarchical schedules collapse to flat on 1-GPU or
-#: 1-node shapes, so they live in ``xalgo_alltoall``'s 2x2 sweep.
-DSE_ALGOS: Tuple[Optional[str], ...] = (None, "pairwise")
-
-
-def dse_fused_frontier_sweep(name: str = "dse_fused_frontier",
-                             platforms: Sequence[PlatformLike]
-                             = DSE_PLATFORMS,
-                             batches: Sequence[int] = DSE_BATCHES,
-                             tables: Sequence[int] = DSE_TABLES,
-                             slices: Sequence[int] = DSE_SLICES,
-                             occupancies: Sequence[float] = DSE_OCCUPANCIES,
-                             topologies: Sequence[Tuple[int, int]]
-                             = DSE_TOPOLOGIES,
-                             algos: Sequence[Optional[str]] = DSE_ALGOS,
-                             backend: str = "analytic") -> SweepSpec:
-    """Fused embedding+A2A design space: platform x batch x tables x
-    slice size x occupancy split x topology x collective schedule,
-    Pareto-assembled.
-
-    The default grid is ~2,600 scenarios — minutes-per-point under the
-    DES, a handful of seconds end to end under the analytic backend.
-    """
-    scenarios = []
-    for pp in map(_platform_param, platforms):
-        pname = _platform_display(pp)
-        for num_nodes, gpus_per_node in topologies:
-            for batch in batches:
-                for tb in tables:
-                    for sv in slices:
-                        for occ in occupancies:
-                            for algo in algos:
-                                suffix = f" {algo}" if algo else ""
-                                s = scenario(
-                                    "embedding_a2a_pair",
-                                    label=(f"{pname} "
-                                           f"{num_nodes}x{gpus_per_node}"
-                                           f" {batch}|{tb} sv{sv} occ{occ}"
-                                           f"{suffix}"),
-                                    global_batch=batch, tables_per_gpu=tb,
-                                    slice_vectors=sv,
-                                    occupancy_of_baseline=occ,
-                                    num_nodes=num_nodes,
-                                    gpus_per_node=gpus_per_node, platform=pp)
-                                scenarios.append(
-                                    s.with_backend(backend).with_algo(algo))
-    return SweepSpec.make(
-        name, "DSE", scenarios, assembler="dse_frontier", figure="DSE",
-        description="fused embedding+A2A design-space frontier "
-                    "(latency vs speedup)")
-
-
-def dse_smoke_sweep(name: str = "dse-smoke") -> SweepSpec:
-    """Small analytic slice for CI cache-behaviour checks (8 scenarios)."""
-    return dse_fused_frontier_sweep(
-        name=name, platforms=("mi210", "h100"), batches=(512, 2048),
-        tables=(64,), slices=(32,), occupancies=(0.25, 0.75),
-        topologies=((2, 1),))
-
-
-def trace_smoke_sweep(name: str = "trace-smoke") -> SweepSpec:
-    """One tiny pinned traced scenario for the CI golden-trace byte-compare.
-
-    The parameters are frozen: the exported Chrome trace is committed as a
-    golden file and compared byte-for-byte, so any change here (or any
-    nondeterminism in the simulator/exporter) fails the gate.
-    """
-    scenarios = [
-        scenario("wg_timeline", label="trace 64|4", batch=64, tables=4,
-                 wgs_per_slice=8, timeline_width=60,
-                 platform=_platform_param(None)),
-    ]
-    return SweepSpec.make(
-        name, "Trace smoke", scenarios, assembler="rows", figure="Trace",
-        description="pinned traced scenario for the golden Chrome-trace "
-                    "export check")
-
-
-def smoke_sweep(name: str = "smoke") -> SweepSpec:
-    """Small, fast sweep for CI cache-behaviour checks (~2 s serial)."""
-    plat = _platform_param(None)
-    scenarios = [
-        scenario("gemv_allreduce_pair", label="8k|2k",
-                 m=8192, n_per_gpu=2048, world=4, platform=plat),
-        scenario("embedding_a2a_pair", label="256|16",
-                 global_batch=256, tables_per_gpu=16,
-                 num_nodes=2, gpus_per_node=1, platform=plat),
-        scenario("dlrm_scaleout", label="16 nodes", num_nodes=16,
-                 platform=plat),
-    ]
-    return SweepSpec.make(
-        name, "Smoke", scenarios, assembler="rows", figure="Smoke",
-        description="CI smoke sweep (mixed runners, small configs)")
-
-
-#: The paper-default registrations, in ``python -m repro list`` order.
-ALL_SWEEPS: Tuple[SweepSpec, ...] = tuple(register_sweep(s) for s in (
-    table1_sweep(),
-    table2_sweep(),
-    fig8_sweep(),
-    fig9_sweep(),
-    fig10_sweep(),
-    fig11_sweep(),
-    fig12_sweep(),
-    fig13_sweep(),
-    fig14_sweep(),
-    fig15_sweep(),
-    ablation_slice_size_sweep(),
-    ablation_scheduling_sweep(),
-    ablation_zero_copy_sweep(),
-    ablation_cpu_proxy_sweep(),
-    ext_embedding_backward_sweep(),
-    xhw_embedding_a2a_sweep(),
-    xhw_gemv_allreduce_sweep(),
-    xhw_gemm_a2a_sweep(),
-    xhw_scaleout_sweep(),
-    xhw_smoke_sweep(),
-    xalgo_allreduce_sweep(),
-    xalgo_alltoall_sweep(),
-    xalgo_smoke_sweep(),
-    dse_fused_frontier_sweep(),
-    dse_smoke_sweep(),
-    smoke_sweep(),
-    trace_smoke_sweep(),
-))

@@ -23,13 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..bench.harness import FigureResult, Row
 from .specs import SCHEMA_VERSION, canonical_json
 from .store import ResultStore
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MegaSweepSpec", "MegaRun", "run_mega", "register_mega", "get_mega",
@@ -120,12 +121,15 @@ class MegaRun:
 
 
 # ----------------------------------------------------------------------
-# Assembly: output columns -> the dse_frontier FigureResult shape.
+# Assembly: output columns -> the dse_frontier FigureResult shape.  Only
+# a cache miss assembles, so numpy is imported there: listing mega sweeps
+# and serving their cached figure records never loads it.
 # ----------------------------------------------------------------------
 
 def _axis_index_columns(axes: Dict[str, List[Any]]
                         ) -> Dict[str, np.ndarray]:
     """Per-row value-index column for every axis, in grid-product order."""
+    import numpy as np
     names = list(axes)
     lengths = [len(axes[k]) for k in names]
     n = int(np.prod(lengths, dtype=np.int64)) if names else 1
@@ -171,6 +175,8 @@ def _assemble_frontier(spec: MegaSweepSpec,
     plus the globally undominated subset — computed with
     :func:`~repro.analytic.explorer.pareto_mask` on the output columns
     instead of per-scenario tuples."""
+    import numpy as np
+
     from ..analytic.explorer import pareto_mask
     axes = spec.axes
     idx_cols = _axis_index_columns(axes)

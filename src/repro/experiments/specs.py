@@ -64,9 +64,11 @@ def canonical_json(value: Any) -> str:
     return _CANONICAL_ENCODER.encode(value)
 
 
-def _check_jsonable(params: Mapping[str, Any], where: str) -> None:
+def _encode(params: Mapping[str, Any], where: str) -> str:
+    """``canonical_json`` of a parameter mapping, encoded once; a value
+    JSON cannot represent raises ``TypeError`` naming ``where``."""
     try:
-        canonical_json(dict(params))
+        return canonical_json(dict(params))
     except (TypeError, ValueError) as exc:
         raise TypeError(
             f"{where} parameters must be JSON-representable: {exc}") from exc
@@ -87,8 +89,8 @@ class ScenarioSpec:
 
     @classmethod
     def make(cls, runner: str, label: str = "", **params: Any) -> "ScenarioSpec":
-        _check_jsonable(params, f"scenario {runner!r}")
-        return cls(runner=runner, params_json=canonical_json(params),
+        return cls(runner=runner,
+                   params_json=_encode(params, f"scenario {runner!r}"),
                    label=label)
 
     @property
@@ -98,8 +100,8 @@ class ScenarioSpec:
     def with_params(self, **overrides: Any) -> "ScenarioSpec":
         merged = self.params
         merged.update(overrides)
-        _check_jsonable(merged, f"scenario {self.runner!r}")
-        return replace(self, params_json=canonical_json(merged))
+        return replace(self, params_json=_encode(
+            merged, f"scenario {self.runner!r}"))
 
     def with_backend(self, backend: str) -> "ScenarioSpec":
         """Copy pinned to an evaluation engine (see :data:`BACKENDS`).
@@ -190,10 +192,10 @@ class SweepSpec:
     @classmethod
     def make(cls, name: str, title: str, scenarios, assembler: str = "rows",
              description: str = "", **assembler_params: Any) -> "SweepSpec":
-        _check_jsonable(assembler_params, f"sweep {name!r} assembler")
         return cls(name=name, title=title, scenarios=tuple(scenarios),
                    assembler=assembler, description=description,
-                   assembler_params_json=canonical_json(assembler_params))
+                   assembler_params_json=_encode(
+                       assembler_params, f"sweep {name!r} assembler"))
 
     @property
     def assembler_params(self) -> Dict[str, Any]:

@@ -29,6 +29,7 @@ from ..frameworks.triton import build_tasks, jit, tl
 from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, bulk_kernel_time, get_scheduler
 from ..ops.gemm import gemm_wg_cost
+from ..utils.units import size_label
 from .base import (
     OpHarness,
     baseline_kernel_resources,
@@ -83,9 +84,7 @@ class GemmA2AConfig:
 
     @property
     def label(self) -> str:
-        def k(v):
-            return f"{v // 1024}k" if v % 1024 == 0 and v >= 1024 else str(v)
-        return f"{k(self.tokens)}|{k(self.model_dim)}|{k(self.ffn_dim)}"
+        return size_label(self.tokens, self.model_dim, self.ffn_dim)
 
 
 def make_gemm_inputs(cfg: GemmA2AConfig, world: int):

@@ -38,6 +38,7 @@ import numpy as np
 from ..hw.gpu import WgCost
 from ..kernels import PersistentKernel, WgTask, bulk_kernel_time, get_scheduler
 from ..ops.gemv import gemv, gemv_wg_cost, split_tiles
+from ..utils.units import size_label
 from .base import (
     OpHarness,
     baseline_kernel_resources,
@@ -86,9 +87,7 @@ class GemvAllReduceConfig:
 
     @property
     def label(self) -> str:
-        def k(v):
-            return f"{v // 1024}k" if v % 1024 == 0 and v >= 1024 else str(v)
-        return f"{k(self.m)}|{k(self.n_per_gpu)}"
+        return size_label(self.m, self.n_per_gpu)
 
 
 def make_gemv_inputs(cfg: GemvAllReduceConfig, world: int):

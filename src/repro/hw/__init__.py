@@ -1,68 +1,48 @@
 """Hardware models: GPUs, HBM, fabric, NICs, clusters, and the pluggable
-platform catalog (:mod:`repro.hw.platform`)."""
+platform catalog (:mod:`repro.hw.platform`).
 
-from .fabric import Fabric
-from .gpu import Gpu, KernelResources, OccupancyInfo, WgCost, occupancy_for
-from .memory import HbmModel
-from .network import Network
-from .nic import Nic
-from .platform import (
-    CATALOG,
-    DEFAULT_PLATFORM,
-    Platform,
-    derived_baseline_resources,
-    derived_fused_resources,
-    generic,
-    get_platform,
-    list_platforms,
-    register_platform,
-)
-from .specs import (
-    IB_NIC,
-    IF_LINK,
-    MI210,
-    ClusterSpec,
-    GpuSpec,
-    LinkSpec,
-    NicSpec,
-    NodeSpec,
-    mi210_node_spec,
-    two_node_cluster_spec,
-)
-from .topology import Cluster, Node, build_cluster, build_node, from_cluster_spec
+Names resolve on first access (:mod:`repro.utils.lazy`): declaring a sweep
+needs only the platform catalog, not the device models behind it (the HBM
+model imports numpy).
+"""
 
-__all__ = [
-    "CATALOG",
-    "Cluster",
-    "ClusterSpec",
-    "DEFAULT_PLATFORM",
-    "Fabric",
-    "Gpu",
-    "GpuSpec",
-    "HbmModel",
-    "IB_NIC",
-    "IF_LINK",
-    "KernelResources",
-    "LinkSpec",
-    "MI210",
-    "Network",
-    "Nic",
-    "NicSpec",
-    "Node",
-    "NodeSpec",
-    "OccupancyInfo",
-    "Platform",
-    "WgCost",
-    "build_cluster",
-    "build_node",
-    "derived_baseline_resources",
-    "derived_fused_resources",
-    "from_cluster_spec",
-    "generic",
-    "get_platform",
-    "list_platforms",
-    "mi210_node_spec",
-    "occupancy_for",
-    "register_platform",
-    "two_node_cluster_spec",
-]
+from ..utils.lazy import lazy_exports
+
+_EXPORTS = {
+    "Fabric": "fabric",
+    "Gpu": "gpu",
+    "KernelResources": "gpu",
+    "OccupancyInfo": "gpu",
+    "WgCost": "gpu",
+    "occupancy_for": "gpu",
+    "HbmModel": "memory",
+    "Network": "network",
+    "Nic": "nic",
+    "CATALOG": "platform",
+    "DEFAULT_PLATFORM": "platform",
+    "Platform": "platform",
+    "derived_baseline_resources": "platform",
+    "derived_fused_resources": "platform",
+    "generic": "platform",
+    "get_platform": "platform",
+    "list_platforms": "platform",
+    "register_platform": "platform",
+    "IB_NIC": "specs",
+    "IF_LINK": "specs",
+    "MI210": "specs",
+    "ClusterSpec": "specs",
+    "GpuSpec": "specs",
+    "LinkSpec": "specs",
+    "NicSpec": "specs",
+    "NodeSpec": "specs",
+    "mi210_node_spec": "specs",
+    "two_node_cluster_spec": "specs",
+    "Cluster": "topology",
+    "Node": "topology",
+    "build_cluster": "topology",
+    "build_node": "topology",
+    "from_cluster_spec": "topology",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import NULL_TRACE, Simulator, TraceRecorder
-from .memory import HbmModel
 from .specs import GpuSpec
 
 __all__ = ["WgCost", "KernelResources", "OccupancyInfo", "Gpu",
@@ -157,6 +156,9 @@ class Gpu:
         spec's *content*; rebuilding them here guarantees an overridden or
         replaced spec can never read another spec's cached entries.
         """
+        # Imported here, not at module scope: the platform catalog needs
+        # this module's occupancy model, but not the numpy-backed HBM model.
+        from .memory import HbmModel
         self._spec = spec
         self.hbm = HbmModel(spec)
         # Kernels ask for the same handful of (resources, cost, occupancy)

@@ -20,40 +20,31 @@ without ever touching them.  This package provides the three pieces:
   live :class:`TraceRecorder` to every :class:`~repro.fused.base.OpHarness`
   built inside it, so ``python -m repro trace`` can profile any registered
   sweep without the runners knowing.
+
+Names resolve on first access (:mod:`repro.utils.lazy`): the result store
+and sweep execution use only the metrics registry, and must not load the
+simulator through ``capture``/``chrome``.
 """
 
-from .capture import TraceCapture, active_capture, harness_trace
-from .chrome import (
-    EXPORT_SCHEMA,
-    chrome_trace_dict,
-    chrome_trace_json,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    disable_metrics,
-    enable_metrics,
-    get_metrics,
-    metrics_env_enabled,
-    reset_metrics,
-)
+from ..utils.lazy import lazy_exports
 
-__all__ = [
-    "EXPORT_SCHEMA",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "TraceCapture",
-    "active_capture",
-    "chrome_trace_dict",
-    "chrome_trace_json",
-    "disable_metrics",
-    "enable_metrics",
-    "get_metrics",
-    "harness_trace",
-    "metrics_env_enabled",
-    "reset_metrics",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "TraceCapture": "capture",
+    "active_capture": "capture",
+    "harness_trace": "capture",
+    "EXPORT_SCHEMA": "chrome",
+    "chrome_trace_dict": "chrome",
+    "chrome_trace_json": "chrome",
+    "validate_chrome_trace": "chrome",
+    "write_chrome_trace": "chrome",
+    "NULL_METRICS": "metrics",
+    "MetricsRegistry": "metrics",
+    "disable_metrics": "metrics",
+    "enable_metrics": "metrics",
+    "get_metrics": "metrics",
+    "metrics_env_enabled": "metrics",
+    "reset_metrics": "metrics",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,7 +12,7 @@ __all__ = [
     "NS", "US", "MS",
     "GB_PER_S", "GBIT_PER_S",
     "KILO", "MEGA", "GIGA", "TERA",
-    "fmt_bytes", "fmt_time",
+    "fmt_bytes", "fmt_time", "size_label",
 ]
 
 KILO = 1e3
@@ -57,3 +57,10 @@ def fmt_time(t: float) -> str:
     if abs(t) >= US:
         return f"{t / US:.3f} us"
     return f"{t / NS:.1f} ns"
+
+
+def size_label(*dims: int) -> str:
+    """Paper-style configuration label of a matrix shape: ``8k|2k``
+    (multiples of 1024 from 1024 up in ``k``, other sizes verbatim)."""
+    return "|".join(f"{d // 1024}k" if d % 1024 == 0 and d >= 1024
+                    else str(d) for d in dims)
